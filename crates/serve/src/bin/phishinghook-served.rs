@@ -15,10 +15,12 @@
 //! publishes on the last good model (visible as `"degraded"` on
 //! `GET /healthz`), and never rolling back.
 //!
-//! In both modes the artifact type is sniffed from its sections: a
-//! container with a `cascade` section starts the two-stage cascade
-//! engine (cheap calibrated screen → uncertainty-band escalation → deep
-//! confirmer), anything else the flat single-detector engine.
+//! In both modes the artifact decodes through
+//! [`ServedModel::from_artifact`], which sniffs its sections: a container
+//! with a `cascade` section serves the two-stage cascade (cheap calibrated
+//! screen → uncertainty-band escalation → deep confirmer), anything else
+//! a flat detector. The replica keeps that kind for life: a watched
+//! publish of the other kind is a reload failure.
 //!
 //! Environment knobs:
 //!
@@ -33,12 +35,10 @@
 //! * `PHISHINGHOOK_BOOT_TIMEOUT_MS` — watch-mode wait for a first valid artifact (default 120000)
 
 use phishinghook::retry::SystemClock;
-use phishinghook::{CascadeDetector, Detector};
 use phishinghook_artifact::watch::ArtifactWatcher;
 use phishinghook_artifact::OwnedArtifact;
-use phishinghook_serve::{ArtifactWatchLoop, ReloadConfig, Server, ServerConfig};
+use phishinghook_serve::{ArtifactWatchLoop, ReloadConfig, ServedModel, Server, ServerConfig};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str =
@@ -90,52 +90,19 @@ fn main() -> ExitCode {
         }
     };
 
-    // Sniff the artifact type: a cascade container carries a "cascade"
-    // section; a flat detector does not.
-    let (server, banner) = if artifact.section("cascade").is_ok() {
-        let cascade = match CascadeDetector::from_artifact(&artifact) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("phishinghook-served: cannot decode {source}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let banner = format!(
-            "cascade {} → {} (band [{:.3}, {:.3}], budget {:.0}%)",
-            cascade.screen().kind().id(),
-            cascade.confirm().kind().id(),
-            cascade.band().0,
-            cascade.band().1,
-            cascade.escalate_budget() * 100.0
-        );
-        match Server::start_cascade_with_generation(
-            Arc::new(cascade),
-            generation,
-            bind.as_str(),
-            cfg,
-        ) {
-            Ok(s) => (s, banner),
-            Err(e) => {
-                eprintln!("phishinghook-served: cannot bind {bind}: {e}");
-                return ExitCode::FAILURE;
-            }
+    let model = match ServedModel::from_artifact(&artifact) {
+        Ok(model) => model,
+        Err(e) => {
+            eprintln!("phishinghook-served: cannot decode {source}: {e}");
+            return ExitCode::FAILURE;
         }
-    } else {
-        let detector = match Detector::from_artifact(&artifact) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("phishinghook-served: cannot decode {source}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let kind = detector.kind();
-        let banner = format!("{} ({})", kind.name(), kind.id());
-        match Server::start_with_generation(Arc::new(detector), generation, bind.as_str(), cfg) {
-            Ok(s) => (s, banner),
-            Err(e) => {
-                eprintln!("phishinghook-served: cannot bind {bind}: {e}");
-                return ExitCode::FAILURE;
-            }
+    };
+    let banner = model.to_string();
+    let server = match Server::start_with_generation(model, generation, bind.as_str(), cfg) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("phishinghook-served: cannot bind {bind}: {e}");
+            return ExitCode::FAILURE;
         }
     };
 

@@ -133,7 +133,7 @@ impl HealthState {
     }
 
     /// An artifact reload failed (invalid candidate, decode error, or
-    /// engine mismatch). Extends the reload streak.
+    /// model kind mismatch). Extends the reload streak.
     pub fn record_reload_failure(&self, message: &str) {
         self.reload_failures.fetch_add(1, Ordering::Relaxed);
         self.update(|s| {

@@ -16,9 +16,9 @@
 //!                      │ up to PHISHINGHOOK_MAX_BATCH jobs / wake,
 //!                      │ time-boxed by PHISHINGHOOK_BATCH_WAIT_US
 //!                      ▼
-//!         warm worker pool ──► CodeScorer::score_many (one batched call)
-//!                      │           (all workers share one Arc'd detector
-//!                      ▼            decoded from one OwnedArtifact buffer)
+//!         warm worker pool ──► swap::ModelSlot (one batched call on one
+//!                      │       snapshot of the live swap::ServedModel)
+//!                      ▼
 //!             per-request reply slots ──► http::write_response
 //! ```
 //!
@@ -30,18 +30,21 @@
 //! `PHISHINGHOOK_MAX_BATCH`, `PHISHINGHOOK_BATCH_WAIT_US`,
 //! `PHISHINGHOOK_QUEUE_CAP`, `PHISHINGHOOK_SERVE_WORKERS`.
 //!
-//! The same front also serves a two-stage **cascade**
-//! ([`server::Server::start_cascade`]): the slot then holds a
-//! [`CascadeDetector`](phishinghook::CascadeDetector) — cheap calibrated
-//! screen, uncertainty-band routing, deep confirmer — behind the very
-//! same queue, and `GET /healthz` reports the screened/escalated routing
-//! counters. Because both stages live in one `Arc`, a hot swap
-//! ([`swap::ModelSlot`], now generic over the scorer) replaces the whole
-//! cascade atomically: no request can pair stages from different
-//! generations.
+//! The server fronts one [`ServedModel`]: a flat
+//! [`Detector`](phishinghook::Detector) or a two-stage
+//! [`CascadeDetector`](phishinghook::CascadeDetector) (cheap calibrated
+//! screen, uncertainty-band routing, deep confirmer). That one type owns
+//! the artifact sniff, batched scoring into one [`ServedVerdict`] shape,
+//! the reply's `"model"` id and the cascade's extra `/healthz` fields, so
+//! the server keeps one slot, one queue and one reply path for both:
+//! replies from a cascade add the `escalated` flag, and `GET /healthz`
+//! adds the stage ids and screened/escalated routing counters. A hot swap
+//! ([`swap::ModelSlot`]) replaces the whole model atomically — no request
+//! can pair cascade stages from different generations — and refuses a
+//! model of the other kind.
 //!
 //! The `phishinghook-served` binary wraps [`server::Server`] around an
-//! artifact path (sniffing cascade vs. flat artifacts by section);
+//! artifact path or a watched publish directory;
 //! [`server::Server::start`] is the embeddable form used by the tests,
 //! benches, and the `serve_and_query` example.
 
@@ -57,4 +60,4 @@ pub use http::{Limits, Request};
 pub use queue::{MicroBatcher, QueueConfig, QueueHooks, QueueStats, SubmitError};
 pub use reload::{ArtifactWatchLoop, ReloadConfig, DEFAULT_RELOAD_RETRIES};
 pub use server::{Server, ServerConfig};
-pub use swap::ModelSlot;
+pub use swap::{ModelSlot, ServedModel, ServedVerdict};

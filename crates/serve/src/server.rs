@@ -20,9 +20,9 @@
 use crate::health::HealthState;
 use crate::http::{read_request, write_response, Limits};
 use crate::queue::{MicroBatcher, QueueConfig, QueueHooks, SubmitError};
-use crate::swap::ModelSlot;
+use crate::swap::{ModelSlot, ServedModel, ServedVerdict};
 use phishinghook::json::Value;
-use phishinghook::{CascadeDetector, CascadeVerdict, Detector};
+use phishinghook::CascadeDetector;
 use phishinghook_evm::Bytecode;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -65,72 +65,37 @@ impl ServerConfig {
     }
 }
 
-/// Which scorer the server fronts. Both variants share the acceptor, the
-/// HTTP parser and the micro-batching queue machinery; they differ in the
-/// slot's scorer type and the reply shape.
-enum Engine {
-    /// A flat single-model detector.
-    Single {
-        slot: Arc<ModelSlot>,
-        queue: MicroBatcher<Arc<ModelSlot>>,
-    },
-    /// A two-stage cascade. The whole [`CascadeDetector`] (both stages +
-    /// calibrators + band) lives behind one slot, so a hot swap replaces
-    /// the pair atomically, and the serve layer tallies routing counters
-    /// off the returned verdicts (they survive swaps — they belong to the
-    /// server, not any one generation).
-    Cascade {
-        slot: Arc<ModelSlot<CascadeDetector>>,
-        queue: MicroBatcher<Arc<ModelSlot<CascadeDetector>>>,
-        screened: AtomicU64,
-        escalated: AtomicU64,
-    },
-}
-
-impl Engine {
-    fn queue_depth(&self) -> usize {
-        match self {
-            Engine::Single { queue, .. } => queue.depth(),
-            Engine::Cascade { queue, .. } => queue.depth(),
-        }
-    }
-
-    fn queue_config(&self) -> QueueConfig {
-        match self {
-            Engine::Single { queue, .. } => *queue.config(),
-            Engine::Cascade { queue, .. } => *queue.config(),
-        }
-    }
-
-    fn queue_stats(&self) -> crate::queue::QueueStats {
-        match self {
-            Engine::Single { queue, .. } => queue.stats(),
-            Engine::Cascade { queue, .. } => queue.stats(),
-        }
-    }
-
-    fn generation(&self) -> u64 {
-        match self {
-            Engine::Single { slot, .. } => slot.generation(),
-            Engine::Cascade { slot, .. } => slot.generation(),
-        }
-    }
-
-    fn uptime(&self) -> Duration {
-        match self {
-            Engine::Single { slot, .. } => slot.uptime(),
-            Engine::Cascade { slot, .. } => slot.uptime(),
-        }
-    }
-}
-
 struct Inner {
-    engine: Engine,
+    slot: Arc<ModelSlot>,
+    queue: MicroBatcher<Arc<ModelSlot>>,
+    /// Cascade routing counters: contracts screened, and how many of
+    /// those escalated to the confirmer. They belong to the server, not
+    /// any one generation, so they survive hot swaps.
+    screened: AtomicU64,
+    escalated: AtomicU64,
     health: Arc<HealthState>,
     limits: Limits,
     read_timeout: Duration,
     max_request_contracts: usize,
     stop: AtomicBool,
+}
+
+impl Inner {
+    /// Folds a batch of verdicts into the routing counters (a flat
+    /// model's verdicts carry no routing and leave them alone).
+    fn tally(&self, verdicts: &[ServedVerdict]) {
+        let (mut screened, mut escalated) = (0, 0);
+        for up in verdicts.iter().filter_map(ServedVerdict::escalated) {
+            screened += 1;
+            escalated += u64::from(up);
+        }
+        if screened > 0 {
+            self.screened.fetch_add(screened, Ordering::Relaxed);
+        }
+        if escalated > 0 {
+            self.escalated.fetch_add(escalated, Ordering::Relaxed);
+        }
+    }
 }
 
 /// The queue observers that feed the crash-loop breaker: absorbed scorer
@@ -152,7 +117,7 @@ fn health_hooks(health: &Arc<HealthState>) -> QueueHooks {
 }
 
 /// A running serving tier: acceptor thread, connection handlers, and the
-/// warm worker pool behind one shared detector.
+/// warm worker pool behind one shared model.
 pub struct Server {
     inner: Arc<Inner>,
     addr: SocketAddr,
@@ -162,21 +127,22 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// serving `detector` behind the micro-batching queue as artifact
-    /// generation 0. The detector rides a hot-swappable [`ModelSlot`]:
-    /// every queue worker and every request scores through the slot's
-    /// live model, which [`Server::install`] can replace without a
-    /// restart.
+    /// serving `model` — a flat `Arc<Detector>` or a two-stage
+    /// `Arc<CascadeDetector>` — behind the micro-batching queue as
+    /// artifact generation 0. The model rides a hot-swappable
+    /// [`ModelSlot`]: every queue worker and every request scores through
+    /// the slot's live model, which [`Server::install`] can replace
+    /// without a restart.
     ///
     /// # Errors
     ///
     /// Socket bind/configuration failures.
     pub fn start(
-        detector: Arc<Detector>,
+        model: impl Into<ServedModel>,
         addr: impl ToSocketAddrs,
         cfg: ServerConfig,
     ) -> std::io::Result<Server> {
-        Server::start_with_generation(detector, 0, addr, cfg)
+        Server::start_with_generation(model, 0, addr, cfg)
     }
 
     /// [`Server::start`], declaring the initial artifact generation (as
@@ -186,81 +152,22 @@ impl Server {
     ///
     /// Socket bind/configuration failures.
     pub fn start_with_generation(
-        detector: Arc<Detector>,
+        model: impl Into<ServedModel>,
         generation: u64,
         addr: impl ToSocketAddrs,
         cfg: ServerConfig,
     ) -> std::io::Result<Server> {
         let health = Arc::new(HealthState::from_env());
-        let slot = Arc::new(ModelSlot::new(detector, generation));
-        let engine = Engine::Single {
-            queue: MicroBatcher::start_with_hooks(
-                Arc::clone(&slot),
-                cfg.queue,
-                health_hooks(&health),
-            ),
-            slot,
-        };
-        Server::start_engine(engine, health, addr, cfg)
-    }
-
-    /// Starts a server fronting a two-stage [`CascadeDetector`] instead
-    /// of a flat detector, as artifact generation 0: every request rides
-    /// the same micro-batching queue, stage 1 screens the coalesced
-    /// batch, and only in-band contracts pay the deep confirmer. Replies
-    /// carry the escalated flag, and `GET /healthz` reports the routing
-    /// counters.
-    ///
-    /// # Errors
-    ///
-    /// Socket bind/configuration failures.
-    pub fn start_cascade(
-        cascade: Arc<CascadeDetector>,
-        addr: impl ToSocketAddrs,
-        cfg: ServerConfig,
-    ) -> std::io::Result<Server> {
-        Server::start_cascade_with_generation(cascade, 0, addr, cfg)
-    }
-
-    /// [`Server::start_cascade`], declaring the initial artifact
-    /// generation.
-    ///
-    /// # Errors
-    ///
-    /// Socket bind/configuration failures.
-    pub fn start_cascade_with_generation(
-        cascade: Arc<CascadeDetector>,
-        generation: u64,
-        addr: impl ToSocketAddrs,
-        cfg: ServerConfig,
-    ) -> std::io::Result<Server> {
-        let health = Arc::new(HealthState::from_env());
-        let slot = Arc::new(ModelSlot::new(cascade, generation));
-        let engine = Engine::Cascade {
-            queue: MicroBatcher::start_with_hooks(
-                Arc::clone(&slot),
-                cfg.queue,
-                health_hooks(&health),
-            ),
-            slot,
-            screened: AtomicU64::new(0),
-            escalated: AtomicU64::new(0),
-        };
-        Server::start_engine(engine, health, addr, cfg)
-    }
-
-    /// The shared tail of both start paths: bind, wrap the engine, spawn
-    /// the acceptor.
-    fn start_engine(
-        engine: Engine,
-        health: Arc<HealthState>,
-        addr: impl ToSocketAddrs,
-        cfg: ServerConfig,
-    ) -> std::io::Result<Server> {
+        let slot = Arc::new(ModelSlot::new(model, generation));
+        let queue =
+            MicroBatcher::start_with_hooks(Arc::clone(&slot), cfg.queue, health_hooks(&health));
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let inner = Arc::new(Inner {
-            engine,
+            slot,
+            queue,
+            screened: AtomicU64::new(0),
+            escalated: AtomicU64::new(0),
             health,
             limits: cfg.limits,
             read_timeout: cfg.read_timeout,
@@ -301,6 +208,20 @@ impl Server {
         })
     }
 
+    /// [`Server::start`] for a cascade; kept as a named entry point for
+    /// callers that hold an `Arc<CascadeDetector>`.
+    ///
+    /// # Errors
+    ///
+    /// Socket bind/configuration failures.
+    pub fn start_cascade(
+        cascade: Arc<CascadeDetector>,
+        addr: impl ToSocketAddrs,
+        cfg: ServerConfig,
+    ) -> std::io::Result<Server> {
+        Server::start(cascade, addr, cfg)
+    }
+
     /// The bound address (the ephemeral port when started on port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
@@ -309,48 +230,37 @@ impl Server {
     /// Live queue statistics (see
     /// [`QueueStats`](crate::queue::QueueStats)).
     pub fn queue_stats(&self) -> crate::queue::QueueStats {
-        self.inner.engine.queue_stats()
+        self.inner.queue.stats()
     }
 
     /// Hot-swaps the served model: every batch that starts after this
-    /// call scores on `detector`; batches already in flight finish on the
-    /// previous model and no request is dropped. Returns the generation
-    /// that was replaced.
+    /// call scores on `model`; batches already in flight finish on the
+    /// previous model and no request is dropped. A cascade moves whole —
+    /// both stages, their calibrators and the band in one install.
+    /// Returns the generation that was replaced.
     ///
     /// # Panics
     ///
-    /// Panics when the server was started with [`Server::start_cascade`]
-    /// — a cascade server swaps whole cascades
-    /// ([`Server::install_cascade`]), never a bare stage.
-    pub fn install(&self, detector: Arc<Detector>, generation: u64) -> u64 {
-        match &self.inner.engine {
-            Engine::Single { slot, .. } => slot.install(detector, generation),
-            Engine::Cascade { .. } => {
-                panic!("install() on a cascade server; use install_cascade()")
-            }
-        }
+    /// Panics when `model` is not of the served kind (a flat detector
+    /// offered to a cascade server or the reverse); see
+    /// [`ModelSlot::try_install`].
+    pub fn install(&self, model: impl Into<ServedModel>, generation: u64) -> u64 {
+        self.inner.slot.install(model, generation)
     }
 
-    /// Hot-swaps the served cascade — both stages, their calibrators and
-    /// the band move in one atomic install, so no batch can pair an old
-    /// screen with a new confirmer. Returns the replaced generation.
+    /// [`Server::install`] for a cascade; kept as a named entry point for
+    /// callers that hold an `Arc<CascadeDetector>`.
     ///
     /// # Panics
     ///
-    /// Panics when the server was started with [`Server::start`] (a flat
-    /// server swaps detectors via [`Server::install`]).
+    /// As [`Server::install`].
     pub fn install_cascade(&self, cascade: Arc<CascadeDetector>, generation: u64) -> u64 {
-        match &self.inner.engine {
-            Engine::Cascade { slot, .. } => slot.install(cascade, generation),
-            Engine::Single { .. } => {
-                panic!("install_cascade() on a flat server; use install()")
-            }
-        }
+        self.install(cascade, generation)
     }
 
     /// The live artifact generation (also reported by `GET /healthz`).
     pub fn generation(&self) -> u64 {
-        self.inner.engine.generation()
+        self.inner.slot.generation()
     }
 
     /// The crash-loop breaker and health counters this server reports on
@@ -360,61 +270,20 @@ impl Server {
         Arc::clone(&self.inner.health)
     }
 
-    /// Whether this server fronts a cascade (vs. a flat detector) — the
-    /// engine type an artifact reload must match.
-    pub fn is_cascade(&self) -> bool {
-        matches!(self.inner.engine, Engine::Cascade { .. })
-    }
-
-    /// The slot handle a background reload loop installs into (engine
-    /// type included, so the loop decodes the matching artifact kind).
-    pub(crate) fn slot_target(&self) -> crate::reload::SlotTarget {
-        match &self.inner.engine {
-            Engine::Single { slot, .. } => crate::reload::SlotTarget::Single(Arc::clone(slot)),
-            Engine::Cascade { slot, .. } => crate::reload::SlotTarget::Cascade(Arc::clone(slot)),
-        }
-    }
-
-    /// A snapshot of the live detector.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a cascade server (use [`Server::cascade`]).
-    pub fn detector(&self) -> Arc<Detector> {
-        match &self.inner.engine {
-            Engine::Single { slot, .. } => slot.detector(),
-            Engine::Cascade { .. } => panic!("detector() on a cascade server; use cascade()"),
-        }
-    }
-
-    /// A snapshot of the live cascade.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a flat server (use [`Server::detector`]).
-    pub fn cascade(&self) -> Arc<CascadeDetector> {
-        match &self.inner.engine {
-            Engine::Cascade { slot, .. } => slot.detector(),
-            Engine::Single { .. } => panic!("cascade() on a flat server; use detector()"),
-        }
+    /// The slot a background reload loop installs into.
+    pub(crate) fn slot(&self) -> Arc<ModelSlot> {
+        Arc::clone(&self.inner.slot)
     }
 
     /// Cumulative cascade routing counters `(screened, escalated)`:
     /// contracts scored through the cascade since the server started, and
     /// how many of those were routed to the deep confirmer. Counters
-    /// survive hot swaps. Returns zeros on a flat server.
+    /// survive hot swaps. Zeros on a flat server.
     pub fn cascade_counters(&self) -> (u64, u64) {
-        match &self.inner.engine {
-            Engine::Cascade {
-                screened,
-                escalated,
-                ..
-            } => (
-                screened.load(Ordering::Relaxed),
-                escalated.load(Ordering::Relaxed),
-            ),
-            Engine::Single { .. } => (0, 0),
-        }
+        (
+            self.inner.screened.load(Ordering::Relaxed),
+            self.inner.escalated.load(Ordering::Relaxed),
+        )
     }
 
     /// Stops accepting connections, lets in-flight exchanges finish, and
@@ -521,60 +390,56 @@ fn parse_contracts(v: &Value, field: &str, cap: usize) -> Result<Vec<Bytecode>, 
         .collect()
 }
 
-fn score_to_json(kind_id: &str, probability: f32) -> Value {
-    Value::Obj(vec![
-        ("model".into(), Value::Str(kind_id.into())),
-        ("probability".into(), Value::Num(probability as f64)),
-        (
-            "phishing".into(),
-            Value::Bool(probability >= phishinghook::PHISHING_THRESHOLD),
-        ),
-    ])
-}
-
-/// One cascade verdict's reply fields (shared by the single and batch
-/// routes): the comparable probability, the escalated flag, and the
-/// thresholded call.
-fn cascade_verdict_fields(v: &CascadeVerdict) -> Vec<(String, Value)> {
-    vec![
-        ("probability".into(), Value::Num(v.probability as f64)),
-        ("escalated".into(), Value::Bool(v.escalated)),
-        ("phishing".into(), Value::Bool(v.is_phishing())),
-    ]
-}
-
-/// Folds a batch of cascade verdicts into the serve-layer routing
-/// counters.
-fn tally_cascade(screened: &AtomicU64, escalated: &AtomicU64, verdicts: &[CascadeVerdict]) {
-    screened.fetch_add(verdicts.len() as u64, Ordering::Relaxed);
-    let up = verdicts.iter().filter(|v| v.escalated).count() as u64;
-    if up > 0 {
-        escalated.fetch_add(up, Ordering::Relaxed);
+/// The reply to a scored `/predict` (`single`) or `/predict_batch`:
+/// `model`, the probability (or per-contract array), a cascade's
+/// `escalated` flag(s), and the thresholded `phishing` call(s).
+fn verdict_reply(verdicts: &[ServedVerdict], single: bool) -> Reply {
+    let column = |field: fn(&ServedVerdict) -> Value| {
+        if single {
+            field(&verdicts[0])
+        } else {
+            Value::Arr(verdicts.iter().map(field).collect())
+        }
+    };
+    let probability = if single {
+        "probability"
+    } else {
+        "probabilities"
+    };
+    let mut fields = Vec::with_capacity(4);
+    fields.push(("model".into(), Value::Str(verdicts[0].model_id().into())));
+    fields.push((
+        probability.into(),
+        column(|v| Value::Num(v.probability() as f64)),
+    ));
+    if verdicts[0].escalated().is_some() {
+        fields.push((
+            "escalated".into(),
+            column(|v| Value::Bool(v.escalated() == Some(true))),
+        ));
     }
+    fields.push(("phishing".into(), column(|v| Value::Bool(v.is_phishing()))));
+    Reply::ok(Value::Obj(fields).render().into_bytes())
 }
 
 fn route(inner: &Inner, method: &str, target: &str, body: &[u8]) -> Reply {
     match (method, target) {
         ("GET", "/healthz") => {
-            let cfg = inner.engine.queue_config();
+            let cfg = inner.queue.config();
             let health = inner.health.snapshot();
+            let (model, generation) = inner.slot.snapshot();
             let mut fields = vec![
                 (
                     "status".into(),
                     Value::Str(if health.degraded { "degraded" } else { "ok" }.into()),
                 ),
-                (
-                    "generation".into(),
-                    Value::Num(inner.engine.generation() as f64),
-                ),
+                ("model".into(), Value::Str(model.id().into())),
+                ("generation".into(), Value::Num(generation as f64)),
                 (
                     "uptime_seconds".into(),
-                    Value::Num(inner.engine.uptime().as_secs_f64()),
+                    Value::Num(inner.slot.uptime().as_secs_f64()),
                 ),
-                (
-                    "queue_depth".into(),
-                    Value::Num(inner.engine.queue_depth() as f64),
-                ),
+                ("queue_depth".into(), Value::Num(inner.queue.depth() as f64)),
                 ("max_batch".into(), Value::Num(cfg.max_batch as f64)),
                 ("workers".into(), Value::Num(cfg.workers as f64)),
                 (
@@ -603,44 +468,11 @@ fn route(inner: &Inner, method: &str, target: &str, body: &[u8]) -> Reply {
                 ),
                 ("retrains".into(), Value::Num(health.retrains as f64)),
             ];
-            match &inner.engine {
-                Engine::Single { slot, .. } => {
-                    fields.insert(
-                        1,
-                        (
-                            "model".into(),
-                            Value::Str(slot.detector().kind().id().into()),
-                        ),
-                    );
-                }
-                Engine::Cascade {
-                    slot,
-                    screened,
-                    escalated,
-                    ..
-                } => {
-                    let cascade = slot.detector();
-                    let n = screened.load(Ordering::Relaxed);
-                    let up = escalated.load(Ordering::Relaxed);
-                    fields.insert(1, ("model".into(), Value::Str("cascade".into())));
-                    fields.extend([
-                        (
-                            "screen_model".into(),
-                            Value::Str(cascade.screen().kind().id().into()),
-                        ),
-                        (
-                            "confirm_model".into(),
-                            Value::Str(cascade.confirm().kind().id().into()),
-                        ),
-                        ("cascade_screened".into(), Value::Num(n as f64)),
-                        ("cascade_escalated".into(), Value::Num(up as f64)),
-                        (
-                            "cascade_escalation_rate".into(),
-                            Value::Num(if n == 0 { 0.0 } else { up as f64 / n as f64 }),
-                        ),
-                    ]);
-                }
-            }
+            let (screened, escalated) = (
+                inner.screened.load(Ordering::Relaxed),
+                inner.escalated.load(Ordering::Relaxed),
+            );
+            fields.extend(model.health_fields(screened, escalated));
             Reply::ok(Value::Obj(fields).render().into_bytes())
         }
         ("POST", "/predict") | ("POST", "/predict_batch") => {
@@ -650,121 +482,27 @@ fn route(inner: &Inner, method: &str, target: &str, body: &[u8]) -> Reply {
             let Some(doc) = phishinghook::json::parse(text) else {
                 return Reply::error(400, "Bad Request", "body is not valid JSON");
             };
-            if target == "/predict" {
+            let single = target == "/predict";
+            let codes = if single {
                 let Some(hex) = doc.get("bytecode").and_then(Value::as_str) else {
                     return Reply::error(400, "Bad Request", "missing \"bytecode\" field");
                 };
-                let code = match Bytecode::from_hex(hex) {
-                    Ok(c) => c,
+                match Bytecode::from_hex(hex) {
+                    Ok(code) => vec![code],
                     Err(e) => return Reply::error(400, "Bad Request", &format!("bytecode: {e}")),
-                };
-                match &inner.engine {
-                    Engine::Single { slot, queue } => {
-                        let kind_id = slot.detector().kind().id();
-                        match queue.submit(code) {
-                            Ok(p) => Reply::ok(score_to_json(kind_id, p).render().into_bytes()),
-                            Err(e) => submit_error_reply(e),
-                        }
-                    }
-                    Engine::Cascade {
-                        queue,
-                        screened,
-                        escalated,
-                        ..
-                    } => match queue.submit(code) {
-                        Ok(v) => {
-                            tally_cascade(screened, escalated, &[v]);
-                            let mut fields = vec![("model".into(), Value::Str("cascade".into()))];
-                            fields.extend(cascade_verdict_fields(&v));
-                            Reply::ok(Value::Obj(fields).render().into_bytes())
-                        }
-                        Err(e) => submit_error_reply(e),
-                    },
                 }
             } else {
-                let codes = match parse_contracts(&doc, "contracts", inner.max_request_contracts) {
-                    Ok(c) => c,
+                match parse_contracts(&doc, "contracts", inner.max_request_contracts) {
+                    Ok(codes) => codes,
                     Err(reply) => return reply,
-                };
-                match &inner.engine {
-                    Engine::Single { slot, queue } => {
-                        let kind_id = slot.detector().kind().id();
-                        match queue.submit_many(codes) {
-                            Ok(probs) => Reply::ok(
-                                Value::Obj(vec![
-                                    ("model".into(), Value::Str(kind_id.into())),
-                                    (
-                                        "probabilities".into(),
-                                        Value::Arr(
-                                            probs.iter().map(|&p| Value::Num(p as f64)).collect(),
-                                        ),
-                                    ),
-                                    (
-                                        "phishing".into(),
-                                        Value::Arr(
-                                            probs
-                                                .iter()
-                                                .map(|&p| {
-                                                    Value::Bool(
-                                                        p >= phishinghook::PHISHING_THRESHOLD,
-                                                    )
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                ])
-                                .render()
-                                .into_bytes(),
-                            ),
-                            Err(e) => submit_error_reply(e),
-                        }
-                    }
-                    Engine::Cascade {
-                        queue,
-                        screened,
-                        escalated,
-                        ..
-                    } => match queue.submit_many(codes) {
-                        Ok(verdicts) => {
-                            tally_cascade(screened, escalated, &verdicts);
-                            Reply::ok(
-                                Value::Obj(vec![
-                                    ("model".into(), Value::Str("cascade".into())),
-                                    (
-                                        "probabilities".into(),
-                                        Value::Arr(
-                                            verdicts
-                                                .iter()
-                                                .map(|v| Value::Num(v.probability as f64))
-                                                .collect(),
-                                        ),
-                                    ),
-                                    (
-                                        "escalated".into(),
-                                        Value::Arr(
-                                            verdicts
-                                                .iter()
-                                                .map(|v| Value::Bool(v.escalated))
-                                                .collect(),
-                                        ),
-                                    ),
-                                    (
-                                        "phishing".into(),
-                                        Value::Arr(
-                                            verdicts
-                                                .iter()
-                                                .map(|v| Value::Bool(v.is_phishing()))
-                                                .collect(),
-                                        ),
-                                    ),
-                                ])
-                                .render()
-                                .into_bytes(),
-                            )
-                        }
-                        Err(e) => submit_error_reply(e),
-                    },
                 }
+            };
+            match inner.queue.submit_many(codes) {
+                Ok(verdicts) => {
+                    inner.tally(&verdicts);
+                    verdict_reply(&verdicts, single)
+                }
+                Err(e) => submit_error_reply(e),
             }
         }
         (_, "/predict") | (_, "/predict_batch") | (_, "/healthz") => {

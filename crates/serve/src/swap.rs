@@ -1,60 +1,238 @@
-//! The artifact hot-swap seam: a generation-counted slot the queue
-//! workers score through, swappable under a live server.
+//! The one served model and its hot-swap seam.
 //!
-//! A [`ModelSlot`] holds the live `Arc<Detector>` plus its artifact
-//! generation behind one lock. Queue workers implement their batched
-//! scoring through the slot's [`CodeScorer`] impl, which **snapshots the
-//! `Arc` once per batch**: a concurrent [`ModelSlot::install`] swaps the
-//! live model for subsequent batches while every in-flight batch finishes
-//! on the model it started with — no torn batches, no dropped requests,
-//! and bit-parity with solo scoring within each generation.
+//! A [`ServedModel`] is whatever the serving tier fronts: a flat
+//! [`Detector`] or a screen→confirm [`CascadeDetector`], each behind one
+//! `Arc`. It owns every fact that depends on which of the two it is —
+//! the artifact sniff ([`ServedModel::from_artifact`]), batched scoring
+//! into one [`ServedVerdict`] shape, the reply's `"model"` id and the
+//! cascade-only `/healthz` fields — so the server, the queue and the
+//! reload loop each keep a single path.
 //!
-//! The rolling-retrain loop in `phishinghook-ingest` drives this seam:
-//! republish the artifact atomically on disk, decode it, then
-//! [`Server::install`](crate::Server::install) the new generation here.
+//! A [`ModelSlot`] holds the live model plus its artifact generation
+//! behind one lock. Queue workers score through the slot's [`CodeScorer`]
+//! impl, which **snapshots the model once per batch**: a concurrent
+//! [`ModelSlot::install`] swaps the live model for subsequent batches
+//! while every in-flight batch finishes on the model it started with — no
+//! torn batches, no dropped requests, and bit-parity with solo scoring
+//! within each generation. Both cascade stages live behind the one `Arc`,
+//! so an install replaces screen and confirmer together: no request can
+//! pair a stage-1 from one generation with a stage-2 from another.
+//!
+//! An install may replace the model but never its kind (flat vs.
+//! cascade), because that would change the shape of every reply; the one
+//! check is [`ModelSlot::try_install`].
+//!
+//! The rolling-retrain loop in `phishinghook-ingest` and the artifact
+//! watch loop drive this seam: republish the artifact atomically on disk,
+//! decode it, then [`Server::install`](crate::Server::install) the new
+//! generation here.
 
-use phishinghook::{CodeScorer, Detector};
+use phishinghook::json::Value;
+use phishinghook::{CascadeDetector, CascadeVerdict, CodeScorer, Detector, ModelKind};
+use phishinghook_artifact::{ArtifactError, OwnedArtifact};
 use phishinghook_evm::Bytecode;
+use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A swappable, generation-counted scorer slot shared by the serving
-/// queue and the retrain loop.
-///
-/// Generic over the scorer (defaulting to the flat [`Detector`]), which
-/// is what makes cascade hot swap atomic for free: a
-/// `ModelSlot<CascadeDetector>` holds *both* cascade stages behind one
-/// `Arc`, so an install replaces screen and confirmer in the same swap —
-/// no request can ever observe a stage-1 from one generation paired with
-/// a stage-2 from another.
-pub struct ModelSlot<S: CodeScorer = Detector> {
+/// The reply `"model"` id of a cascade.
+const CASCADE_ID: &str = "cascade";
+
+/// The model a server fronts.
+#[derive(Clone)]
+pub enum ServedModel {
+    /// A flat single-model detector.
+    Flat(Arc<Detector>),
+    /// A two-stage cascade: calibrated screen, uncertainty band, deep
+    /// confirmer.
+    Cascade(Arc<CascadeDetector>),
+}
+
+impl From<Arc<Detector>> for ServedModel {
+    fn from(detector: Arc<Detector>) -> Self {
+        ServedModel::Flat(detector)
+    }
+}
+
+impl From<Arc<CascadeDetector>> for ServedModel {
+    fn from(cascade: Arc<CascadeDetector>) -> Self {
+        ServedModel::Cascade(cascade)
+    }
+}
+
+impl ServedModel {
+    /// Decodes an artifact into the model it holds: a container with a
+    /// `cascade` section is a cascade, anything else a flat detector.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the matching decoder rejects.
+    pub fn from_artifact(artifact: &OwnedArtifact) -> Result<ServedModel, ArtifactError> {
+        Ok(if artifact.section("cascade").is_ok() {
+            Arc::new(CascadeDetector::from_artifact(artifact)?).into()
+        } else {
+            Arc::new(Detector::from_artifact(artifact)?).into()
+        })
+    }
+
+    /// The `"model"` id replies and `/healthz` report: the detector's
+    /// kind id, or `"cascade"`.
+    pub(crate) fn id(&self) -> &'static str {
+        match self {
+            ServedModel::Flat(detector) => detector.kind().id(),
+            ServedModel::Cascade(_) => CASCADE_ID,
+        }
+    }
+
+    /// `"flat"` or `"cascade"`: the kind an install must preserve.
+    fn kind(&self) -> &'static str {
+        match self {
+            ServedModel::Flat(_) => "flat",
+            ServedModel::Cascade(_) => CASCADE_ID,
+        }
+    }
+
+    /// The extra `/healthz` fields, given the server's routing counters
+    /// (contracts screened, and escalated to the confirmer): the stage ids
+    /// and the routing counters for a cascade, nothing for a flat model.
+    pub(crate) fn health_fields(&self, screened: u64, escalated: u64) -> Vec<(String, Value)> {
+        let ServedModel::Cascade(cascade) = self else {
+            return Vec::new();
+        };
+        let rate = if screened == 0 {
+            0.0
+        } else {
+            escalated as f64 / screened as f64
+        };
+        vec![
+            (
+                "screen_model".into(),
+                Value::Str(cascade.screen().kind().id().into()),
+            ),
+            (
+                "confirm_model".into(),
+                Value::Str(cascade.confirm().kind().id().into()),
+            ),
+            ("cascade_screened".into(), Value::Num(screened as f64)),
+            ("cascade_escalated".into(), Value::Num(escalated as f64)),
+            ("cascade_escalation_rate".into(), Value::Num(rate)),
+        ]
+    }
+}
+
+/// The daemon banner's description of the model.
+impl fmt::Display for ServedModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServedModel::Flat(detector) => {
+                write!(f, "{} ({})", detector.kind().name(), detector.kind().id())
+            }
+            ServedModel::Cascade(cascade) => write!(
+                f,
+                "cascade {} → {} (band [{:.3}, {:.3}], budget {:.0}%)",
+                cascade.screen().kind().id(),
+                cascade.confirm().kind().id(),
+                cascade.band().0,
+                cascade.band().1,
+                cascade.escalate_budget() * 100.0
+            ),
+        }
+    }
+}
+
+impl CodeScorer for ServedModel {
+    type Output = ServedVerdict;
+
+    fn score_many(&self, codes: &[Bytecode]) -> Vec<ServedVerdict> {
+        match self {
+            ServedModel::Flat(detector) => {
+                let model = detector.kind();
+                detector
+                    .score_codes(codes)
+                    .into_iter()
+                    .map(|probability| ServedVerdict::Flat { model, probability })
+                    .collect()
+            }
+            ServedModel::Cascade(cascade) => cascade
+                .score_codes(codes)
+                .into_iter()
+                .map(ServedVerdict::Cascade)
+                .collect(),
+        }
+    }
+}
+
+/// A served model's call on one contract.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ServedVerdict {
+    /// A flat detector's probability, with the kind of model that scored it.
+    Flat {
+        /// The scoring model.
+        model: ModelKind,
+        /// The phishing probability.
+        probability: f32,
+    },
+    /// A cascade's verdict, with full per-stage provenance.
+    Cascade(CascadeVerdict),
+}
+
+impl ServedVerdict {
+    /// The `"model"` id of the model that scored this contract.
+    pub(crate) fn model_id(&self) -> &'static str {
+        match self {
+            ServedVerdict::Flat { model, .. } => model.id(),
+            ServedVerdict::Cascade(_) => CASCADE_ID,
+        }
+    }
+
+    /// The reported phishing probability.
+    pub(crate) fn probability(&self) -> f32 {
+        match self {
+            ServedVerdict::Flat { probability, .. } => *probability,
+            ServedVerdict::Cascade(v) => v.probability,
+        }
+    }
+
+    /// Whether a cascade escalated this contract to its confirmer; `None`
+    /// for a flat model, which has no second stage.
+    pub(crate) fn escalated(&self) -> Option<bool> {
+        match self {
+            ServedVerdict::Flat { .. } => None,
+            ServedVerdict::Cascade(v) => Some(v.escalated),
+        }
+    }
+
+    /// `true` when the probability crosses
+    /// [`PHISHING_THRESHOLD`](phishinghook::PHISHING_THRESHOLD).
+    pub(crate) fn is_phishing(&self) -> bool {
+        self.probability() >= phishinghook::PHISHING_THRESHOLD
+    }
+}
+
+/// A swappable, generation-counted model slot shared by the serving
+/// queue and the retrain or reload loop.
+pub struct ModelSlot {
     /// The live model and its generation, swapped together so a reader
     /// never pairs a new model with an old generation number.
-    live: Mutex<(Arc<S>, u64)>,
+    live: Mutex<(ServedModel, u64)>,
     started: Instant,
 }
 
-impl<S: CodeScorer> ModelSlot<S> {
-    /// A slot serving `scorer` as artifact generation `generation`
-    /// (use 0 for a model loaded outside any publish directory).
-    pub fn new(scorer: Arc<S>, generation: u64) -> Self {
+impl ModelSlot {
+    /// A slot serving `model` as artifact generation `generation` (use 0
+    /// for a model loaded outside any publish directory).
+    pub fn new(model: impl Into<ServedModel>, generation: u64) -> Self {
         ModelSlot {
-            live: Mutex::new((scorer, generation)),
+            live: Mutex::new((model.into(), generation)),
             started: Instant::now(),
         }
     }
 
-    /// One consistent `(model, generation)` snapshot. The returned `Arc`
-    /// keeps that generation alive for as long as the caller scores with
-    /// it, regardless of later installs.
-    pub fn snapshot(&self) -> (Arc<S>, u64) {
-        let live = self.live.lock().unwrap();
-        (Arc::clone(&live.0), live.1)
-    }
-
-    /// The live scorer.
-    pub fn detector(&self) -> Arc<S> {
-        self.snapshot().0
+    /// One consistent `(model, generation)` snapshot. The returned model
+    /// stays alive for as long as the caller scores with it, regardless of
+    /// later installs.
+    pub fn snapshot(&self) -> (ServedModel, u64) {
+        self.live.lock().unwrap().clone()
     }
 
     /// The live artifact generation.
@@ -65,11 +243,39 @@ impl<S: CodeScorer> ModelSlot<S> {
     /// Swaps in a new model generation and returns the generation it
     /// replaced. Takes effect for every batch that snapshots after this
     /// call; batches already scoring finish on the old model.
-    pub fn install(&self, scorer: Arc<S>, generation: u64) -> u64 {
+    ///
+    /// # Errors
+    ///
+    /// A model of the other kind (flat vs. cascade) is refused, naming
+    /// the mismatch; the live model stays.
+    pub fn try_install(
+        &self,
+        model: impl Into<ServedModel>,
+        generation: u64,
+    ) -> Result<u64, String> {
+        let model = model.into();
         let mut live = self.live.lock().unwrap();
+        if model.kind() != live.0.kind() {
+            return Err(format!(
+                "{} model offered to a {} server",
+                model.kind(),
+                live.0.kind()
+            ));
+        }
         let previous = live.1;
-        *live = (scorer, generation);
-        previous
+        *live = (model, generation);
+        Ok(previous)
+    }
+
+    /// [`ModelSlot::try_install`] for a caller that treats a kind change
+    /// as a bug.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a kind change.
+    pub fn install(&self, model: impl Into<ServedModel>, generation: u64) -> u64 {
+        self.try_install(model, generation)
+            .unwrap_or_else(|mismatch| panic!("{mismatch}"))
     }
 
     /// Time since the slot (and hence the server around it) was created.
@@ -78,14 +284,14 @@ impl<S: CodeScorer> ModelSlot<S> {
     }
 }
 
-impl<S: CodeScorer> CodeScorer for ModelSlot<S> {
-    type Output = S::Output;
+impl CodeScorer for ModelSlot {
+    type Output = ServedVerdict;
 
     /// Scores one batch against a single snapshot of the live model: the
-    /// swap seam's whole contract is that this `Arc` is read exactly once
+    /// swap seam's whole contract is that the model is read exactly once
     /// per batch.
-    fn score_many(&self, codes: &[Bytecode]) -> Vec<S::Output> {
-        self.detector().score_many(codes)
+    fn score_many(&self, codes: &[Bytecode]) -> Vec<ServedVerdict> {
+        self.snapshot().0.score_many(codes)
     }
 }
 
@@ -110,13 +316,13 @@ mod tests {
         let second = trained(ModelKind::RandomForest, 42);
         let slot = ModelSlot::new(Arc::clone(&first), 1);
         assert_eq!(slot.generation(), 1);
-        assert_eq!(slot.detector().kind(), first.kind());
+        assert_eq!(slot.snapshot().0.id(), first.kind().id());
 
         let old = slot.install(Arc::clone(&second), 2);
         assert_eq!(old, 1);
         let (live, generation) = slot.snapshot();
         assert_eq!(generation, 2);
-        assert_eq!(live.kind(), ModelKind::RandomForest);
+        assert_eq!(live.id(), ModelKind::RandomForest.id());
         // The pre-swap snapshot semantics: an Arc taken before install
         // still scores on the old model.
         assert_eq!(first.kind(), ModelKind::LogisticRegression);
@@ -134,6 +340,11 @@ mod tests {
             .take(16)
             .map(|r| r.bytecode.clone())
             .collect();
-        assert_eq!(slot.score_many(&codes), detector.score_many(&codes));
+        let served: Vec<f32> = slot
+            .score_many(&codes)
+            .iter()
+            .map(ServedVerdict::probability)
+            .collect();
+        assert_eq!(served, detector.score_many(&codes));
     }
 }

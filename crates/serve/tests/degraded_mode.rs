@@ -2,7 +2,9 @@
 //! a publish directory through [`ArtifactWatchLoop`] rides out a corrupt
 //! publish on its last good generation (bit-identical scores, `/healthz`
 //! flipped to `"degraded"` with the failure recorded) and recovers —
-//! forward, never a rollback — when a newer valid generation lands.
+//! forward, never a rollback — when a newer valid generation lands. A
+//! valid publish of the other model kind (flat vs. cascade) is a reload
+//! failure too, never an install.
 
 use phishinghook::json::Value;
 use phishinghook::prelude::*;
@@ -10,7 +12,7 @@ use phishinghook::retry::RetryPolicy;
 use phishinghook_artifact::watch::WatchConfig;
 use phishinghook_artifact::{ArtifactPublisher, OwnedArtifact};
 use phishinghook_evm::Bytecode;
-use phishinghook_serve::{ArtifactWatchLoop, ReloadConfig, Server, ServerConfig};
+use phishinghook_serve::{ArtifactWatchLoop, ReloadConfig, ServedModel, Server, ServerConfig};
 use phishinghook_synth::{generate_contract, Difficulty, Family};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,6 +92,12 @@ fn await_health(addr: SocketAddr, what: &str, want: impl Fn(&Value) -> bool) -> 
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+fn failures_of(doc: &Value) -> f64 {
+    doc.get("reload_failures")
+        .and_then(Value::as_f64)
+        .unwrap_or(0.0)
 }
 
 fn status_of(doc: &Value) -> &str {
@@ -215,4 +223,117 @@ fn corrupt_publish_degrades_then_recovers_without_rollback() {
     watch_loop.stop();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A replica booted on `served` (generation 1) is offered two valid
+/// publishes of the other model kind, `offered`. Each is a reload failure
+/// whose `last_error` names the generation and the `mismatch`; the first
+/// leaves the replica `"ok"`, the second reaches the breaker threshold (2)
+/// and turns it `"degraded"`. Throughout, it serves generation 1's score
+/// `want` for `probe` bit-exactly.
+fn kind_change_is_refused(
+    tag: &str,
+    served: Vec<u8>,
+    offered: Vec<u8>,
+    probe: &Bytecode,
+    want: f32,
+    mismatch: &str,
+) {
+    let dir = std::env::temp_dir().join(format!("phk-kind-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut publisher = ArtifactPublisher::open(&dir).expect("open publish dir");
+    let gen1 = publisher.publish(served).expect("publish gen 1");
+    let artifact = OwnedArtifact::open(&gen1.path).expect("open gen 1");
+    let model = ServedModel::from_artifact(&artifact).expect("decode gen 1");
+    let server = Server::start_with_generation(model, 1, "127.0.0.1:0", ServerConfig::from_env())
+        .expect("start server");
+    let addr = server.local_addr();
+    let reload = ReloadConfig {
+        watch: WatchConfig {
+            poll: Duration::from_millis(20),
+            backoff: RetryPolicy::new(Duration::from_millis(10), Duration::from_millis(80)),
+            seed: 0xC1D,
+        },
+        max_retries: 3,
+    };
+    let watch_loop = ArtifactWatchLoop::spawn(&server, &dir, reload).expect("spawn watch loop");
+    assert_eq!(predict(addr, probe), want);
+
+    for (generation, (status, failures)) in [(2u64, ("ok", 1.0)), (3, ("degraded", 2.0))] {
+        let published = publisher.publish(offered.clone()).expect("publish");
+        assert_eq!(published.generation, generation);
+        let doc = await_health(addr, status, |d| failures_of(d) >= failures);
+        assert_eq!(status_of(&doc), status, "{tag}: breaker state: {doc:?}");
+        assert_eq!(
+            failures_of(&doc),
+            failures,
+            "{tag}: one failure per publish"
+        );
+        assert_eq!(
+            generation_of(&doc),
+            1,
+            "{tag}: the other kind never installs"
+        );
+        let err = doc
+            .get("last_error")
+            .and_then(Value::as_str)
+            .expect("a failed reload sets last_error");
+        assert!(
+            err.contains(&format!("generation {generation}")) && err.contains(mismatch),
+            "{tag}: last_error names the publish and the mismatch: {err}"
+        );
+        assert_eq!(
+            predict(addr, probe),
+            want,
+            "{tag}: the last good generation keeps serving bit-exactly"
+        );
+    }
+
+    watch_loop.stop();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn kind_changing_publish_is_a_reload_failure() {
+    // The same tight breaker as the corrupt-publish case (set before any
+    // server reads it).
+    std::env::set_var("PHISHINGHOOK_BREAKER_THRESHOLD", "2");
+
+    let corpus = generate_corpus(&CorpusConfig::small(93));
+    let chain = SimulatedChain::from_corpus(&corpus);
+    let (dataset, _) = extract_dataset(&chain, &BemConfig::default());
+    let ctx = EvalContext::new(&dataset, &EvalProfile::quick());
+    let flat = Detector::train(&ctx, ModelKind::LogisticRegression, 7);
+    let cascade = CascadeDetector::train(
+        &ctx,
+        ModelKind::RandomForest,
+        ModelKind::LogisticRegression,
+        &CascadeConfig::default(),
+        7,
+    );
+    let probe = {
+        let mut rng = StdRng::seed_from_u64(0xC1D);
+        generate_contract(Family::ALL[1], Month(4), &Difficulty::default(), &mut rng)
+    };
+
+    // A flat replica offered a cascade publish.
+    kind_change_is_refused(
+        "flat",
+        flat.to_bytes(),
+        cascade.to_bytes(),
+        &probe,
+        flat.score_code(&probe),
+        "cascade model offered to a flat server",
+    );
+    // A cascade replica behind a flat-retraining trainer offered a flat
+    // publish.
+    kind_change_is_refused(
+        "cascade",
+        cascade.to_bytes(),
+        flat.to_bytes(),
+        &probe,
+        cascade.score_code(&probe).probability,
+        "flat model offered to a cascade server",
+    );
 }

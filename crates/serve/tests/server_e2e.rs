@@ -266,3 +266,102 @@ fn served_scores_match_the_detector_bit_for_bit() {
 
     let _ = std::fs::remove_file(&path);
 }
+
+/// The top-level keys of a JSON object reply, in wire order.
+fn keys_of(body: &str) -> Vec<String> {
+    match phishinghook::json::parse(body) {
+        Some(Value::Obj(fields)) => fields.into_iter().map(|(k, _)| k).collect(),
+        other => panic!("reply is not a JSON object: {other:?} ({body})"),
+    }
+}
+
+/// The `/healthz` keys every server reports, in wire order.
+const HEALTHZ_KEYS: [&str; 14] = [
+    "status",
+    "model",
+    "generation",
+    "uptime_seconds",
+    "queue_depth",
+    "max_batch",
+    "workers",
+    "last_error",
+    "reload_attempts",
+    "reload_failures",
+    "worker_panics",
+    "recoveries",
+    "drift_signals",
+    "retrains",
+];
+
+/// Golden reply shapes of a flat-detector server: exact key order and key
+/// set of `/predict`, `/predict_batch` and `/healthz`, and the exact
+/// reply bytes of both predict routes. A flat reply carries no
+/// `escalated` key and no `cascade_*` key.
+#[test]
+fn flat_reply_shapes_are_pinned() {
+    let corpus = generate_corpus(&CorpusConfig::small(78));
+    let chain = SimulatedChain::from_corpus(&corpus);
+    let (dataset, _) = extract_dataset(&chain, &BemConfig::default());
+    let ctx = EvalContext::new(&dataset, &EvalProfile::quick());
+    let detector = Arc::new(Detector::train(&ctx, ModelKind::LogisticRegression, 5));
+    let server = Server::start(
+        Arc::clone(&detector),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let codes = fresh_contracts(3);
+    let probs = detector.score_codes(&codes);
+    let phishing = |p: f32| Value::Bool(p >= phishinghook::PHISHING_THRESHOLD);
+
+    let (status, body) = post(
+        addr,
+        "/predict",
+        &format!("{{\"bytecode\":\"{}\"}}", codes[0].to_hex()),
+    );
+    assert_eq!(status, 200, "predict: {body}");
+    assert_eq!(keys_of(&body), ["model", "probability", "phishing"]);
+    let want = Value::Obj(vec![
+        ("model".into(), Value::Str("logistic_regression".into())),
+        ("probability".into(), Value::Num(probs[0] as f64)),
+        ("phishing".into(), phishing(probs[0])),
+    ]);
+    assert_eq!(body, want.render(), "flat /predict reply bytes");
+
+    let hexes: Vec<String> = codes
+        .iter()
+        .map(|c| format!("\"{}\"", c.to_hex()))
+        .collect();
+    let (status, body) = post(
+        addr,
+        "/predict_batch",
+        &format!("{{\"contracts\":[{}]}}", hexes.join(",")),
+    );
+    assert_eq!(status, 200, "predict_batch: {body}");
+    assert_eq!(keys_of(&body), ["model", "probabilities", "phishing"]);
+    let want = Value::Obj(vec![
+        ("model".into(), Value::Str("logistic_regression".into())),
+        (
+            "probabilities".into(),
+            Value::Arr(probs.iter().map(|&p| Value::Num(p as f64)).collect()),
+        ),
+        (
+            "phishing".into(),
+            Value::Arr(probs.iter().map(|&p| phishing(p)).collect()),
+        ),
+    ]);
+    assert_eq!(body, want.render(), "flat /predict_batch reply bytes");
+
+    let (status, body) = send(addr, b"GET /healthz HTTP/1.1\r\nHost: e2e\r\n\r\n");
+    assert_eq!(status, 200, "healthz: {body}");
+    let keys = keys_of(&body);
+    assert_eq!(keys, HEALTHZ_KEYS, "flat /healthz keys: {body}");
+    assert!(
+        keys.iter()
+            .all(|k| k != "escalated" && !k.starts_with("cascade_")),
+        "flat /healthz carries no cascade keys: {body}"
+    );
+
+    server.shutdown();
+}

@@ -1,10 +1,9 @@
 //! Synthetic Ethereum contract corpus generator.
 //!
 //! The paper's dataset is built from real chain data (BigQuery + Etherscan
-//! `Phish/Hack` flags), which is unavailable offline; this crate provides the
-//! substitute described in `DESIGN.md` §4: a generative model of benign and
-//! phishing bytecode families that preserves the statistical properties the
-//! detection models key on —
+//! `Phish/Hack` flags), which is unavailable offline; this crate provides a
+//! substitute: a generative model of benign and phishing bytecode families
+//! that preserves the statistical properties the detection models key on —
 //!
 //! * a shared solc-like skeleton (prologue, `PUSH4` dispatcher, CBOR
 //!   metadata trailer) so the classes overlap heavily in opcode space

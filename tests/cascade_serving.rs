@@ -9,7 +9,9 @@ use phishinghook::json::Value;
 use phishinghook::prelude::*;
 use phishinghook::{CascadeVerdict, EvalProfile};
 use phishinghook_evm::Bytecode;
-use phishinghook_serve::{MicroBatcher, ModelSlot, QueueConfig, Server, ServerConfig};
+use phishinghook_serve::{
+    MicroBatcher, ModelSlot, QueueConfig, ServedVerdict, Server, ServerConfig,
+};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -199,8 +201,13 @@ fn hot_swap_hammer_never_serves_a_mixed_generation_pair() {
         11,
     ));
     let codes = fresh_codes(80, 16);
-    let table_a: Vec<CascadeVerdict> = gen_a.score_codes(&codes);
-    let table_b: Vec<CascadeVerdict> = gen_b.score_codes(&codes);
+    // The slot replies in the served shape, which carries each cascade
+    // verdict whole (full per-stage provenance).
+    let served = |verdicts: Vec<CascadeVerdict>| -> Vec<ServedVerdict> {
+        verdicts.into_iter().map(ServedVerdict::Cascade).collect()
+    };
+    let table_a = served(gen_a.score_codes(&codes));
+    let table_b = served(gen_b.score_codes(&codes));
     for (a, b) in table_a.iter().zip(&table_b) {
         assert_ne!(a, b, "generations must be distinguishable per contract");
     }
@@ -465,6 +472,122 @@ fn cascade_http_server_serves_verdicts_and_routing_counters() {
     assert_eq!(json_str(&health, "screen_model"), "logistic_regression");
     assert_eq!(json_str(&health, "confirm_model"), "random_forest");
     assert_eq!(json_num(&health, "generation"), 2.0);
+
+    server.shutdown();
+}
+
+/// The top-level keys of a JSON object reply, in wire order.
+fn keys_of(body: &str) -> Vec<String> {
+    match parse_json(body) {
+        Value::Obj(fields) => fields.into_iter().map(|(k, _)| k).collect(),
+        other => panic!("reply is not a JSON object: {other:?}"),
+    }
+}
+
+/// Golden reply shapes of a cascade server: exact key order and key set
+/// of `/predict`, `/predict_batch` and `/healthz` (the flat keys plus the
+/// stage ids and routing counters, appended last), and the exact reply
+/// bytes of both predict routes.
+#[test]
+fn cascade_reply_shapes_are_pinned() {
+    let ctx = context(42);
+    let cascade = Arc::new(forest_logreg_cascade(&ctx, 7));
+    let server =
+        Server::start_cascade(Arc::clone(&cascade), "127.0.0.1:0", ServerConfig::default())
+            .unwrap();
+    let addr = server.local_addr();
+    let codes = fresh_codes(82, 4);
+    let verdicts: Vec<CascadeVerdict> = cascade.score_codes(&codes);
+
+    let (status, body) = post(
+        addr,
+        "/predict",
+        &format!("{{\"bytecode\":\"{}\"}}", codes[0].to_hex()),
+    );
+    assert_eq!(status, 200, "predict: {body}");
+    assert_eq!(
+        keys_of(&body),
+        ["model", "probability", "escalated", "phishing"]
+    );
+    let want = Value::Obj(vec![
+        ("model".into(), Value::Str("cascade".into())),
+        (
+            "probability".into(),
+            Value::Num(verdicts[0].probability as f64),
+        ),
+        ("escalated".into(), Value::Bool(verdicts[0].escalated)),
+        ("phishing".into(), Value::Bool(verdicts[0].is_phishing())),
+    ]);
+    assert_eq!(body, want.render(), "cascade /predict reply bytes");
+
+    let contracts: Vec<String> = codes
+        .iter()
+        .map(|c| format!("\"{}\"", c.to_hex()))
+        .collect();
+    let (status, body) = post(
+        addr,
+        "/predict_batch",
+        &format!("{{\"contracts\":[{}]}}", contracts.join(",")),
+    );
+    assert_eq!(status, 200, "predict_batch: {body}");
+    assert_eq!(
+        keys_of(&body),
+        ["model", "probabilities", "escalated", "phishing"]
+    );
+    let want = Value::Obj(vec![
+        ("model".into(), Value::Str("cascade".into())),
+        (
+            "probabilities".into(),
+            Value::Arr(
+                verdicts
+                    .iter()
+                    .map(|v| Value::Num(v.probability as f64))
+                    .collect(),
+            ),
+        ),
+        (
+            "escalated".into(),
+            Value::Arr(verdicts.iter().map(|v| Value::Bool(v.escalated)).collect()),
+        ),
+        (
+            "phishing".into(),
+            Value::Arr(
+                verdicts
+                    .iter()
+                    .map(|v| Value::Bool(v.is_phishing()))
+                    .collect(),
+            ),
+        ),
+    ]);
+    assert_eq!(body, want.render(), "cascade /predict_batch reply bytes");
+
+    let (status, body) = get(addr, "/healthz");
+    assert_eq!(status, 200, "healthz: {body}");
+    assert_eq!(
+        keys_of(&body),
+        [
+            "status",
+            "model",
+            "generation",
+            "uptime_seconds",
+            "queue_depth",
+            "max_batch",
+            "workers",
+            "last_error",
+            "reload_attempts",
+            "reload_failures",
+            "worker_panics",
+            "recoveries",
+            "drift_signals",
+            "retrains",
+            "screen_model",
+            "confirm_model",
+            "cascade_screened",
+            "cascade_escalated",
+            "cascade_escalation_rate",
+        ],
+        "cascade /healthz keys: {body}"
+    );
 
     server.shutdown();
 }

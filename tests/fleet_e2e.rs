@@ -36,7 +36,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 const DEADLINE: Duration = Duration::from_secs(60);
@@ -120,15 +120,42 @@ impl Drop for Proc {
     }
 }
 
-/// Workspace binaries live two levels above the test executable
-/// (`target/debug/deps/fleet_e2e-…` → `target/debug/<bin>`).
+/// The path of one fleet daemon binary. The first call builds
+/// `phishinghook-{served,scannerd,ingestd}` through the cargo that runs
+/// this test (same profile, same target dir), so a fresh checkout needs
+/// no prebuilt binaries and a stale one is never picked up; the paths
+/// come from cargo's own build report, not from a guessed layout.
 fn bin_path(name: &str) -> PathBuf {
-    std::env::current_exe()
-        .expect("current_exe")
-        .parent()
-        .and_then(Path::parent)
-        .expect("target dir")
-        .join(name)
+    static BINS: OnceLock<Vec<(String, PathBuf)>> = OnceLock::new();
+    let bins = BINS.get_or_init(|| {
+        let mut cargo = Command::new(env!("CARGO"));
+        cargo
+            .args(["build", "--quiet", "--message-format=json", "--bins"])
+            .args(["-p", "phishinghook-serve", "-p", "phishinghook-ingest"])
+            .arg("--manifest-path")
+            .arg(concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml"))
+            .stderr(Stdio::inherit());
+        if !cfg!(debug_assertions) {
+            cargo.arg("--release");
+        }
+        let out = cargo
+            .output()
+            .expect("run cargo build for the fleet daemons");
+        assert!(out.status.success(), "building the fleet daemons failed");
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter_map(phishinghook::json::parse)
+            .filter_map(|msg| {
+                let exe = msg.get("executable")?.as_str()?;
+                let bin = msg.get("target")?.get("name")?.as_str()?;
+                Some((bin.to_string(), PathBuf::from(exe)))
+            })
+            .collect()
+    });
+    bins.iter()
+        .find(|(bin, _)| bin == name)
+        .map(|(_, exe)| exe.clone())
+        .unwrap_or_else(|| panic!("cargo built no {name} binary (built: {bins:?})"))
 }
 
 fn read_response(r: &mut impl BufRead) -> std::io::Result<(u16, String)> {
